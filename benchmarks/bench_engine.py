@@ -14,6 +14,11 @@ and the Table II adversarial mapping (``adversarial``, which pins the
 hottest partitions on chip 0 and makes the run divert-heavy — the
 configuration that stresses the DRed fast path).
 
+A third measurement gates the engine's per-call set-up cost:
+``ClueSystem.process_lookups`` in the serving configuration, at batch 64
+and at batch 16,384 over the same addresses.  Their rate ratio
+(``small_over_large``) must stay at or above 0.4 in both run modes.
+
 Runs two ways:
 
 * ``python benchmarks/bench_engine.py`` — the full ≥5x gate (200k packets)
@@ -39,6 +44,7 @@ if __package__ is None and __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis.summarize import format_table
+from repro.core import ClueSystem, SystemConfig
 from repro.engine.builders import (
     build_clue_engine,
     map_partitions_to_chips,
@@ -68,6 +74,13 @@ REQUIRED_SPEEDUP = 5.0
 #: backend reports its best rep — the run closest to the actual cost of
 #: the simulation rather than of the machine's distractions.
 RUN_REPS = 3
+#: Batch sizes of the call-overhead gate.
+SMALL_BATCH = 64
+LARGE_BATCH = 16_384
+#: Gate on the batch-64 over batch-16384 lookup rate.  The ROADMAP's
+#: target is 0.6; reaching it waits on keeping the memoised DRed target
+#: sets (``replica_targets``) across calls instead of rebuilding them.
+REQUIRED_SMALL_OVER_LARGE = 0.4
 
 
 def engine_config(backend):
@@ -119,6 +132,59 @@ def run_backend(rib, loads, addresses, backend):
         if gc_was_enabled:
             gc.enable()
     return stats, build_sec, run_sec
+
+
+def timed_batches(system, addresses, batch):
+    """Answer ``addresses`` in ``batch``-sized calls; (hops, seconds)."""
+    chunks = [
+        addresses[start:start + batch]
+        for start in range(0, len(addresses), batch)
+    ]
+    hops = []
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        for chunk in chunks:
+            hops.extend(system.process_lookups(chunk))
+        elapsed = time.perf_counter() - started
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return hops, elapsed
+
+
+def bench_call_overhead(rib, addresses):
+    """Small- versus large-batch ``process_lookups`` rate, same run.
+
+    One serving-configured system (4 chips, DRed 1024, fast backend)
+    answers the same addresses at both batch sizes, alternating reps;
+    each size reports its best rep.  Every rep must return the same
+    answers.
+    """
+    system = ClueSystem(rib, SystemConfig(engine=engine_config("fast")))
+    addresses = list(addresses[:LARGE_BATCH])
+    best = {}
+    first = None
+    for _rep in range(RUN_REPS):
+        for batch in (SMALL_BATCH, LARGE_BATCH):
+            hops, elapsed = timed_batches(system, addresses, batch)
+            if first is None:
+                first = hops
+            elif hops != first:
+                raise AssertionError(f"batch-{batch} answers diverged")
+            best[batch] = min(elapsed, best.get(batch, elapsed))
+    small_rate = len(addresses) / best[SMALL_BATCH]
+    large_rate = len(addresses) / best[LARGE_BATCH]
+    return {
+        "addresses": len(addresses),
+        "small_batch": SMALL_BATCH,
+        "large_batch": LARGE_BATCH,
+        "small_lookups_per_sec": round(small_rate, 1),
+        "large_lookups_per_sec": round(large_rate, 1),
+        "small_over_large": round(small_rate / large_rate, 3),
+    }
 
 
 def bench_trafficgen(rib, count):
@@ -184,6 +250,7 @@ def run_bench(packets, rib=None):
             "fast_over_trie_packets_per_sec"
         ],
         "placements": placements,
+        "call_overhead": bench_call_overhead(rib, addresses),
         "trafficgen": bench_trafficgen(rib, packets),
     }
 
@@ -251,11 +318,15 @@ def render(payload):
     )
     traffic = payload["trafficgen"]
     adversarial = payload["placements"]["adversarial"]
+    overhead = payload["call_overhead"]
     text += (
         f"\nfast/trie packets-per-sec ratio (fig15): "
         f"{payload['fast_over_trie_packets_per_sec']:.2f}x"
         f"\nfast/trie packets-per-sec ratio (adversarial): "
         f"{adversarial['fast_over_trie_packets_per_sec']:.2f}x"
+        f"\nprocess_lookups batch-{overhead['small_batch']} over "
+        f"batch-{overhead['large_batch']} rate: "
+        f"{overhead['small_over_large']:.2f}"
         f"\nstats fingerprint (both backends): "
         f"{payload['stats_fingerprint'][:16]}…"
         f"\ntrafficgen take() vs next_packet(): "
@@ -268,6 +339,20 @@ def stored_floor():
     if not RESULT_FILE.exists():
         return None
     return json.loads(RESULT_FILE.read_text()).get("floor_packets_per_sec")
+
+
+def call_overhead_ok(payload):
+    """The same-run per-call set-up gate, applied in both run modes."""
+    ratio = payload["call_overhead"]["small_over_large"]
+    if ratio >= REQUIRED_SMALL_OVER_LARGE:
+        return True
+    print(
+        f"per-call set-up too costly: batch-{SMALL_BATCH} runs at "
+        f"{ratio:.2f}x the batch-{LARGE_BATCH} rate "
+        f"(gate: {REQUIRED_SMALL_OVER_LARGE})",
+        file=sys.stderr,
+    )
+    return False
 
 
 def main(argv=None):
@@ -302,7 +387,7 @@ def main(argv=None):
                 file=sys.stderr,
             )
             return 1
-        return 0
+        return 0 if call_overhead_ok(payload) else 1
 
     ratio = payload["fast_over_trie_packets_per_sec"]
     if ratio < REQUIRED_SPEEDUP:
@@ -311,6 +396,8 @@ def main(argv=None):
             f"(gate: {REQUIRED_SPEEDUP}x)",
             file=sys.stderr,
         )
+        return 1
+    if not call_overhead_ok(payload):
         return 1
     # The CI floor: deliberately far below the measured rate so it only
     # trips on order-of-magnitude regressions, not machine variance.

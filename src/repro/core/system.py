@@ -28,7 +28,7 @@ from repro.compress.labels import CompressionMode
 from repro.core.config import SystemConfig
 from repro.core.metrics import RecoveryStats, SystemReport
 from repro.compress.onrtc import CompressionReport, TableDiff
-from repro.engine.builders import map_partitions_to_chips
+from repro.engine.builders import FlatHomeIndex, map_partitions_to_chips
 from repro.engine.schemes import CluePolicy
 from repro.engine.simulator import EngineConfig, LookupEngine
 from repro.engine.stats import EngineStats
@@ -129,7 +129,7 @@ class ClueSystem:
             )
         self.engine = LookupEngine(
             tables,
-            home_of=self._home_of,
+            home_of=FlatHomeIndex(self.index, self.partition_to_chip),
             scheme=CluePolicy(),
             config=self.config.engine,
             reference=self.pipeline.trie_stage.table.source,
@@ -168,9 +168,6 @@ class ClueSystem:
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-
-    def _home_of(self, address: int) -> int:
-        return self.partition_to_chip[self.index.home_of(address)]
 
     def lookup(self, address: int) -> Optional[int]:
         """One-off LPM against the current table (control-plane path)."""
@@ -463,6 +460,7 @@ class ClueSystem:
         self.partition_result = new_result
         self.index = new_index
         self.partition_to_chip = new_mapping
+        self.engine.home_of = FlatHomeIndex(new_index, new_mapping)
         # Freshly re-partitioned disjoint content: renew the certificate
         # (load_routes swapped the tables, invalidating the old one).
         self.engine.mark_tables_disjoint()
@@ -720,6 +718,7 @@ class ClueSystem:
         boundaries = [int(b) for b in state["boundaries"]]
         self.index = RangeIndex(boundaries)
         self.partition_to_chip = [int(c) for c in state["partition_to_chip"]]
+        self.engine.home_of = FlatHomeIndex(self.index, self.partition_to_chip)
         # The partition objects are rederivable: bucket the compressed
         # table by the restored boundaries.
         partitions = [Partition(index) for index in range(len(boundaries))]

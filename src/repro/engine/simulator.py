@@ -39,6 +39,10 @@ from repro.trie.trie import BinaryTrie
 
 Route = Tuple[Prefix, int]
 
+#: ``home_l1`` stand-in for a ``home_of`` that is not a flattened index:
+#: every /16 block falls back to the exact callable.  Read-only, shared.
+_UNFLATTENED_HOME_L1 = (-1,) * (1 << 16)
+
 
 @dataclass
 class EngineConfig:
@@ -174,6 +178,9 @@ class LookupEngine:
         self.fault_injector: Optional[object] = None
         #: Disjointness certificate (see :meth:`mark_tables_disjoint`).
         self._disjoint_token: Optional[tuple] = None
+        #: ``(certificate, ((id(dred), insertions), ...))`` at the last
+        #: passing provenance sweep (see :meth:`_run_turbo`).
+        self._dred_verified: Optional[tuple] = None
 
     def mark_tables_disjoint(self) -> None:
         """Certify that the chips' table entries are pairwise disjoint.
@@ -190,12 +197,15 @@ class LookupEngine:
         identity and mutation counter, so any table reload
         (:meth:`ChipState.load_routes`) or in-place route update silently
         invalidates it and the engine falls back to the general LPM scan.
-        Callers that restore the invariant may simply mark again.
+        Callers that restore the invariant may simply mark again; a mark
+        also forgets the last provenance sweep, so the next run re-checks
+        every cached DRed prefix against the new tables.
         """
         self._disjoint_token = tuple(
             (id(chip.table), getattr(chip.table, "mutations", -1))
             for chip in self.chips
         )
+        self._dred_verified = None
 
     # ------------------------------------------------------------------
     # Dispatch (Figure 1, steps II-V)
@@ -613,11 +623,9 @@ class LookupEngine:
         home_of = self.home_of
         # Flattened Indexing Logic (see builders.FlatHomeIndex): answer
         # step II with one array index; ``-1`` falls back to the exact
-        # callable.  An all-sentinel array keeps the loop uniform when the
-        # index is not flattened.
-        home_l1 = getattr(home_of, "home_l1", None)
-        if home_l1 is None:
-            home_l1 = [-1] * (1 << 16)
+        # callable.  The shared all-sentinel tuple keeps the loop uniform
+        # when the index is not flattened.
+        home_l1 = getattr(home_of, "home_l1", _UNFLATTENED_HOME_L1)
         next_address = iter(addresses).__next__
         rate = config.arrivals_per_cycle
         rate_is_integral = float(rate).is_integer()
@@ -690,11 +698,18 @@ class LookupEngine:
         # to one stride descent plus one dict probe.  The provenance sweep
         # below guards against stale cache entries surviving a mark;
         # entries inserted *during* the run come from live tables, so the
-        # property is preserved for the whole call.
-        use_direct_dred = self._disjoint_token == tuple(
+        # property is preserved for the whole call.  The sweep is skipped
+        # while the stamp of its last pass still matches: every
+        # key-adding DRed write goes through ``DredCache.insert`` (which
+        # bumps ``insertions``), and deletes or evictions cannot add a
+        # stale key.
+        certificate = self._disjoint_token
+        use_direct_dred = certificate == tuple(
             (id(chip.table), chip.table.mutations) for chip in chips
         )
-        if use_direct_dred:
+        if use_direct_dred and self._dred_verified != (
+            certificate, tuple((id(dred), dred.insertions) for dred in dreds)
+        ):
             live = set()
             for hop_map in hops:
                 live.update(hop_map)
@@ -1110,6 +1125,10 @@ class LookupEngine:
                 dred.hits = dred_hits_pc[index]
                 dred.misses = dred_misses_pc[index]
                 dred.refreshes = dred_refreshes_pc[index]
+            if use_direct_dred:
+                self._dred_verified = (certificate, tuple(
+                    (id(dred), dred.insertions) for dred in dreds
+                ))
         return self.stats
 
     def _next_event_cycle(

@@ -99,7 +99,7 @@ class TestOperation:
         for _ in range(400):
             address = wide.network + rng.randrange(wide.size)
             expected = reference.lookup(address)
-            home_chip = system.engine.chips[system._home_of(address)]
+            home_chip = system.engine.chips[system.engine.home_of(address)]
             assert home_chip.table.lookup(address) == expected
 
     def test_report_lines(self, system_rib):

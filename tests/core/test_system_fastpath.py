@@ -115,6 +115,43 @@ class TestFailoverUnderFastBackend:
         assert fingerprints["fast"] == fingerprints["trie"]
 
 
+def home_probe_addresses(system):
+    """Addresses where a stale flattened home index would show: around
+    every partition boundary, its /16 block's ends, and the space ends."""
+    addresses = {0, (1 << 32) - 1}
+    for boundary in system.index.boundaries:
+        block = boundary & ~0xFFFF
+        addresses.update(
+            (boundary - 1, boundary, boundary + 1, block, block | 0xFFFF)
+        )
+    return sorted(a for a in addresses if 0 <= a < 1 << 32)
+
+
+def assert_home_index_parity(system):
+    for address in home_probe_addresses(system):
+        expected = system.partition_to_chip[system.index.home_of(address)]
+        assert system.engine.home_of(address) == expected, hex(address)
+
+
+class TestHomeIndex:
+    def test_flat_index_follows_every_repartition(self, system_rib):
+        system = fast_system(system_rib)
+        assert_home_index_parity(system)
+        # Updates move the even-partition boundaries a rebalance recuts.
+        system.apply_updates(UpdateGenerator(system_rib, seed=11).take(100))
+        boundaries = list(system.index.boundaries)
+        system.rebalance()
+        assert system.index.boundaries != boundaries
+        assert_home_index_parity(system)
+        system.fail_chip(1)
+        system.rebalance()
+        assert 1 not in system.partition_to_chip
+        assert_home_index_parity(system)
+        restored = ClueSystem.from_state(system.capture_state())
+        assert restored.partition_to_chip == system.partition_to_chip
+        assert_home_index_parity(restored)
+
+
 class TestSnapshotRoundTrip:
     def test_backend_survives_capture_restore(self, system_rib):
         system = fast_system(system_rib)

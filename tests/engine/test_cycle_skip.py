@@ -17,6 +17,7 @@ import pytest
 from repro.engine.builders import build_clue_engine
 from repro.engine.simulator import EngineConfig
 from repro.faults import FaultInjector, FaultSchedule
+from repro.net.prefix import Prefix
 from repro.workload.ribgen import RibParameters, generate_rib
 from repro.workload.trafficgen import TrafficGenerator
 
@@ -170,6 +171,60 @@ class TestTurboParity:
             return stats
 
         assert churned("fast").fingerprint() == churned("trie").fingerprint()
+
+    @staticmethod
+    def sweep_stamp(engine):
+        """The stamp a passing provenance sweep leaves on ``engine`` now."""
+        return (
+            engine._disjoint_token,
+            tuple(
+                (id(chip.dred), chip.dred.insertions)
+                for chip in engine.chips
+            ),
+        )
+
+    def test_unchanged_engine_keeps_its_sweep_stamp(self, routes):
+        engine = fresh_engine(routes, backend="fast")
+        traffic = TrafficGenerator(routes, seed=31)
+        for _ in range(2):
+            engine.run(traffic, 1_000)
+            assert engine._dred_verified == self.sweep_stamp(engine)
+
+    def test_stale_dred_entry_forces_the_probe_scan(self, routes):
+        # A DRed insert outside the fused loop voids the sweep stamp.  The
+        # covering 137.0.0.0/8 is no MAIN entry on any chip, so the next
+        # run's sweep fails and the loop must take the probe-plan scan —
+        # where the /8 answers diverted packets whose exact entry is not
+        # cached, exactly as the trie backend's reference loop does.  Its
+        # hop is the one every routed address under it resolves to, so
+        # the answers stay correct.
+        addresses = TrafficGenerator(routes, seed=31).take(2_000)
+        warm, probe = addresses[:1_000], addresses[1_000:]
+        stale = Prefix(137, 8)
+
+        def tampered(backend):
+            engine = fresh_engine(routes, backend=backend)
+            engine.run(iter(warm), len(warm))
+            assert all(stale not in chip.table for chip in engine.chips)
+            (hop,) = {
+                engine.reference.lookup(address) for address in probe
+                if stale.contains_address(address)
+            } - {None}
+            owner = engine.home_of(stale.network)
+            assert owner != 2
+            engine.chips[2].dred.insert(stale, hop, owner)
+            stale_stamp = engine._dred_verified
+            stats = engine.run(iter(probe), len(probe))
+            assert engine.verify_completions(covered_only=True)
+            return engine, stale_stamp, stats
+
+        fast, stale_stamp, fast_stats = tampered("fast")
+        # The failed sweep did not renew the stamp.
+        assert stale_stamp is not None
+        assert fast._dred_verified == stale_stamp
+        assert fast._dred_verified != self.sweep_stamp(fast)
+        _, _, trie_stats = tampered("trie")
+        assert fast_stats.fingerprint() == trie_stats.fingerprint()
 
     def test_dead_chip_forces_reference_and_matches(self, routes):
         # A dead chip fails the turbo gate; the fast backend must take the
